@@ -672,6 +672,15 @@ let print_convergence () =
             st.P.st_prop st.P.st_samples st.P.st_rank st.P.st_scc_size)
         stalls
 
+(* Exact work counters of the thread-oblivious def-use stage: the sparse
+   dataflow visits reduced per-object CFGs, so visits track relevant
+   statements, not function sizes. *)
+let print_oblivious () =
+  let c name = Option.value ~default:0 (Fsam_obs.Metrics.find_counter name) in
+  Format.printf
+    "@.oblivious def-use: %d (function, object) pairs, %d relevant statements, %d visits@."
+    (c "svfg.oblivious_pairs") (c "svfg.oblivious_relevant") (c "svfg.oblivious_visits")
+
 let profile_run source config_name scheduler_name json trace jobs top =
   with_program
     (fun prog ->
@@ -693,6 +702,7 @@ let profile_run source config_name scheduler_name json trace jobs top =
           config_name (Fsam_par.resolve_jobs jobs) m.Fsam_core.Measure.wall_seconds
           m.Fsam_core.Measure.cpu_seconds;
         print_hotspots ~top (Fsam_obs.Span.roots ());
+        print_oblivious ();
         print_regions ();
         print_convergence ();
         let mk_doc () =

@@ -89,6 +89,13 @@ let add_edge ?(kind = 0) t src obj dst =
     Vec.set t.preds dst ((obj, src) :: Vec.get t.preds dst);
     Vec.set t.succs src ((obj, dst) :: Vec.get t.succs src)
   end
+  else if
+    kind = k_oblivious && t.record_prov <> None
+    && Hashtbl.find_opt t.ekind key = Some k_fork_bypass
+  then
+    (* an ordinary reaching definition also derives the edge: the kind is
+       the rule that needs no fork bypass, whatever the visit order *)
+    Hashtbl.remove t.ekind key
   else if t.log_adds && t.cur_owner >= 0 && Hashtbl.mem t.tvf key then begin
     (* promotion: a patched per-fn dataflow re-derives an edge that the old
        generation carried only as a [THREAD-VF] edge. A cold build would
@@ -108,15 +115,22 @@ let has_edge t src obj dst = Hashtbl.mem t.edge_set (src, obj, dst)
 let edge_kind t ~src ~obj ~dst =
   Option.value ~default:k_oblivious (Hashtbl.find_opt t.ekind (src, obj, dst))
 
+let edge_owner t ~src ~obj ~dst = Hashtbl.find_opt t.owners (src, obj, dst)
+let set_owner t fid = t.cur_owner <- fid
+let recording t = t.record_prov <> None
+
 (* ------------------------------------------------------------------------ *)
 (* Thread-oblivious construction: per-(function, object) sparse
-   reaching-definitions over the function's CFG.                             *)
+   reaching-definitions over a reduced CFG of the statements relevant to
+   the object.                                                               *)
 (* ------------------------------------------------------------------------ *)
+
+type join_info = (int, (int * int * Iset.t) list) Hashtbl.t
 
 (* What a handled join (or symmetric-loop exit) makes visible: per gid, the
    joined threads' (fork gid, start fn, start-fn mods). *)
-let join_info_tbl tm mr =
-  let tbl : (int, (int * int * Iset.t) list) Hashtbl.t = Hashtbl.create 16 in
+let join_info_tbl tm mr : join_info =
+  let tbl = Hashtbl.create 16 in
   for iid = 0 to Mta.Threads.n_insts tm - 1 do
     match Mta.Threads.join_kills tm iid with
     | [] -> ()
@@ -138,6 +152,88 @@ let join_info_tbl tm mr =
   done;
   tbl
 
+(* Per-function CFG facts for the sparse pass, in arrays allocated once per
+   build and sized by the largest function (per-function allocation of
+   arrays this size showed up in the daemon's peak RSS). *)
+type scratch = {
+  rank : int array;
+      (* per statement: BFS discovery rank from the entry, [max_int] when
+         unreachable — the order in which a FIFO dataflow over the full CFG
+         first processes the statements *)
+  block_of : int array;  (* per statement: its basic block *)
+  offset : int array;  (* per statement: its position in the block *)
+  tail : int array;  (* per block: its last statement *)
+  blk_rel : (int * int) list array;
+      (* per block: the current object's relevant statements in it, as
+         (offset, reduced node), ascending *)
+  seen : int array;  (* per block: stamp of the last walk that entered it *)
+  mutable stamp : int;
+  by_obj : int list array;
+      (* per object: its relevant statements in the current function,
+         descending *)
+}
+
+let scratch prog =
+  let n = ref 1 in
+  Prog.iter_funcs prog (fun f -> n := max !n (Func.n_stmts f));
+  let n = !n in
+  {
+    rank = Array.make n max_int;
+    block_of = Array.make n 0;
+    offset = Array.make n 0;
+    tail = Array.make n 0;
+    blk_rel = Array.make n [];
+    seen = Array.make n (-1);
+    stamp = 0;
+    by_obj = Array.make (Prog.n_objs prog) [];
+  }
+
+let bfs_rank sc f =
+  let rank = sc.rank in
+  Array.fill rank 0 (Func.n_stmts f) max_int;
+  let q = Queue.create () in
+  rank.(0) <- 0;
+  Queue.add 0 q;
+  let next = ref 1 in
+  while not (Queue.is_empty q) do
+    List.iter
+      (fun s ->
+        if rank.(s) = max_int then begin
+          rank.(s) <- !next;
+          incr next;
+          Queue.add s q
+        end)
+      f.Func.succ.(Queue.pop q)
+  done
+
+(* Basic blocks of a function's CFG: maximal chains in which each statement
+   but the last has exactly one successor, the next one, and each but the
+   first exactly one predecessor, the previous one — so a path enters a
+   block only at its head and leaves only from its tail. Statements no head
+   reaches (unreachable cycles) keep stale entries; the pass never looks at
+   unreachable statements. *)
+let basic_blocks sc f =
+  let continues i =
+    i <> 0
+    &&
+    match f.Func.pred.(i) with
+    | [ p ] -> ( match f.Func.succ.(p) with [ _ ] -> true | _ -> false)
+    | _ -> false
+  in
+  let nb = ref 0 in
+  for h = 0 to Func.n_stmts f - 1 do
+    if not (continues h) then begin
+      let b = !nb in
+      incr nb;
+      let rec extend i k =
+        sc.block_of.(i) <- b;
+        sc.offset.(i) <- k;
+        match f.Func.succ.(i) with [ nx ] when continues nx -> extend nx (k + 1) | _ -> i
+      in
+      sc.tail.(b) <- extend h 0
+    end
+  done
+
 (* Per-(function, object) sparse reaching-definitions.
 
    The data-flow state at a program point is a set of channels of def nodes:
@@ -151,11 +247,39 @@ let join_info_tbl tm mr =
    bypass channel — this reproduces both the fork-bypass edge s1 ↪ s2 and
    the join edge s4 ↪ s3 of Figure 6 {e and} the strong-update-through-join
    precision of Figure 1(c), while defs between fork and join still flow
-   past the join (s2 ↪ s3). *)
-let build_oblivious ?only t ast mr icfg join_info =
+   past the join (s2 ↪ s3).
+
+   Sparseness (paper §3.2: memory SSA annotates only the statements that may
+   touch an object). Once per function a relevance index lists, per object,
+   the statements whose transfer can act on it: loads and stores whose
+   pointer may target it, calls and forks whose callees mod or ref it, forks
+   whose handle may point to it, returns when the function mods it — plus,
+   for every object, the entry and each gid carrying join rows (a join kills
+   bypass channels whatever the object, and a load / store / return whose
+   guard fails for the object falls through to the join case). Every other
+   statement is the identity on the state, so per object the dataflow runs
+   over a reduced CFG: nodes are the relevant statements, and r → s is an
+   edge when a CFG path from r reaches s through identity statements only.
+   Its edges are discovered lazily by forward walks when a node is first
+   processed (an unprocessed predecessor contributes the empty state, so a
+   predecessor list grown on the fly is exact). The walks step over whole
+   basic blocks: a block with no relevant statement is the identity, and
+   in one with some the first is where a path entering at the head stops.
+   The transfer function is the full-CFG one, so the fixpoint, and with it
+   every edge, is the same.
+
+   Reduced nodes are numbered in CFG BFS rank and the worklist pops the
+   lowest rank first: the statements are then first processed — which is
+   when all their nodes are interned — in the order a FIFO dataflow over
+   the full CFG would first process them, so node numbering is the same
+   for the two. All per-object state is sized by the number of relevant
+   statements; the per-function facts (ranks, blocks, walk stamps, the
+   relevance index) live in one {!scratch} per build. *)
+let build_oblivious ?only t ast mr join_info =
   let prog = t.prog in
-  ignore icfg;
   let record = t.record_prov <> None in
+  let sc = scratch prog in
+  let pairs = ref 0 and relevant = ref 0 and visits = ref 0 in
   (* formal-out nodes injected by a handled join: edges sourced from them
      carry the "join" kind in provenance mode *)
   let join_src : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -166,51 +290,125 @@ let build_oblivious ?only t ast mr icfg join_info =
          incremental patcher retracts a function's edges by owner *)
       t.cur_owner <- fid;
       let objs = Iset.union (Modref.mod_of mr fid) (Modref.ref_of mr fid) in
-      let n = Func.n_stmts f in
+      let base = Prog.gid prog ~fid ~idx:0 in
       (* channels: 0 = ordinary defs, 1 + k = bypass of the k-th local fork *)
       let fork_channel = Hashtbl.create 4 in
       let n_forks = ref 0 in
+      (* -- relevance index: per object, the statements that may act on it *)
+      let touched = ref [] in
+      let touch i set =
+        Iset.iter
+          (fun o ->
+            match sc.by_obj.(o) with
+            | j :: _ when j = i -> ()
+            | [] ->
+              touched := o :: !touched;
+              sc.by_obj.(o) <- [ i ]
+            | l -> sc.by_obj.(o) <- i :: l)
+          set
+      in
+      let always = ref [ 0 ] in
       Func.iter_stmts f (fun i s ->
+          if i > 0 && Hashtbl.mem join_info (base + i) then always := i :: !always;
           match s with
-          | Stmt.Fork _ ->
-            incr n_forks;
-            Hashtbl.replace fork_channel (Prog.gid prog ~fid ~idx:i) !n_forks
+          | Stmt.Load { src = p; _ } | Stmt.Store { dst = p; _ } -> touch i (A.pt_var ast p)
+          | Stmt.Call _ | Stmt.Fork _ ->
+            (match s with
+            | Stmt.Fork { handle; _ } ->
+              incr n_forks;
+              Hashtbl.replace fork_channel (base + i) !n_forks;
+              Option.iter (fun h -> touch i (A.pt_var ast h)) handle
+            | _ -> ());
+            List.iter
+              (fun g ->
+                touch i (Modref.mod_of mr g);
+                touch i (Modref.ref_of mr g))
+              (A.callees ast ~fid ~idx:i)
+          | Stmt.Return _ -> touch i (Modref.mod_of mr fid)
           | _ -> ());
       let nchan = 1 + !n_forks in
+      bfs_rank sc f;
+      basic_blocks sc f;
+      let rank = sc.rank and blk_rel = sc.blk_rel and seen = sc.seen in
       Iset.iter
         (fun o ->
-          let out = Array.make n [||] in
+          (* reduced nodes: the reachable relevant statements in BFS rank *)
+          let rel =
+            List.rev_append !always sc.by_obj.(o)
+            |> List.filter (fun i -> rank.(i) < max_int)
+            |> List.sort_uniq (fun a b -> compare rank.(a) rank.(b))
+            |> Array.of_list
+          in
+          let m = Array.length rel in
+          Array.iteri
+            (fun k i ->
+              let b = sc.block_of.(i) in
+              blk_rel.(b) <- List.merge compare [ (sc.offset.(i), k) ] blk_rel.(b))
+            rel;
+          incr pairs;
+          relevant := !relevant + m;
+          let out = Array.make m [||] in
+          let preds = Array.make m [] in
+          let succs = Array.make m [] in
+          (* reduced successors of node [k], found on its first visit: the
+             relevant statements first reached from it through identity
+             statements *)
+          let walk k =
+            sc.stamp <- sc.stamp + 1;
+            let stamp = sc.stamp in
+            let reach l acc =
+              preds.(l) <- k :: preds.(l);
+              l :: acc
+            in
+            (* [go] enters blocks at the given head statements *)
+            let rec go acc = function
+              | [] -> acc
+              | h :: rest ->
+                let b = sc.block_of.(h) in
+                if seen.(b) = stamp then go acc rest
+                else begin
+                  seen.(b) <- stamp;
+                  match blk_rel.(b) with
+                  | (_, l) :: _ -> go (reach l acc) rest
+                  | [] -> go acc (List.rev_append f.Func.succ.(sc.tail.(b)) rest)
+                end
+            in
+            let r = rel.(k) in
+            let b = sc.block_of.(r) in
+            succs.(k) <-
+              (match List.find_opt (fun (off, _) -> off > sc.offset.(r)) blk_rel.(b) with
+              | Some (_, l) -> reach l []
+              | None -> go [] f.Func.succ.(sc.tail.(b)))
+          in
           let empty_state = Array.make nchan Iset.empty in
           let formal_in = intern t (Formal_in (fid, o)) in
-          let queue = Queue.create () in
-          let queued = Bitvec.create ~capacity:n () in
-          let push i = if Bitvec.set_if_unset queued i then Queue.add i queue in
+          let queue = Heap.create ~capacity:(min m 64) () in
+          let queued = Bitvec.create ~capacity:m () in
+          let push k = if Bitvec.set_if_unset queued k then Heap.push queue ~prio:k k in
           push 0;
-          while not (Queue.is_empty queue) do
-            let i = Queue.pop queue in
-            Bitvec.clear queued i;
+          while not (Heap.is_empty queue) do
+            let k = Option.get (Heap.pop_item queue) in
+            incr visits;
+            Bitvec.clear queued k;
+            if out.(k) = [||] then walk k;
+            let i = rel.(k) in
             let in_state = Array.copy empty_state in
             List.iter
               (fun p ->
                 if out.(p) <> [||] then
                   Array.iteri (fun c s -> in_state.(c) <- Iset.union in_state.(c) s) out.(p))
-              f.Func.pred.(i);
+              preds.(k);
             if i = 0 then in_state.(0) <- Iset.add formal_in in_state.(0);
-            let gid = Prog.gid prog ~fid ~idx:i in
+            let gid = base + i in
             let all_defs = Array.fold_left Iset.union Iset.empty in_state in
-            let kind_of =
-              if not record then fun _ -> k_oblivious
-              else begin
-                let bypass = ref Iset.empty in
-                for c = 1 to nchan - 1 do
-                  bypass := Iset.union !bypass in_state.(c)
-                done;
-                let bp = !bypass in
-                fun d ->
-                  if Hashtbl.mem join_src d then k_join
-                  else if Iset.mem d bp then k_fork_bypass
-                  else k_oblivious
-              end
+            (* a def reaching only through a fork's bypass channel gives a
+               fork-bypass edge; one in the ordinary channel an oblivious
+               edge, even if it also bypasses a fork (see [add_edge]) *)
+            let kind_of d =
+              if not record then k_oblivious
+              else if Hashtbl.mem join_src d then k_join
+              else if Iset.mem d in_state.(0) then k_oblivious
+              else k_fork_bypass
             in
             let link_all node_id =
               Iset.iter (fun d -> add_edge ~kind:(kind_of d) t d o node_id) all_defs
@@ -305,22 +503,27 @@ let build_oblivious ?only t ast mr icfg join_info =
                 | None -> in_state)
             in
             let changed =
-              out.(i) = [||]
+              out.(k) = [||]
               ||
-              let old = out.(i) in
+              let old = out.(k) in
               let rec differs c =
                 c < nchan && ((not (Iset.equal new_state.(c) old.(c))) || differs (c + 1))
               in
               differs 0
             in
             if changed then begin
-              out.(i) <- new_state;
-              List.iter push f.Func.succ.(i)
+              out.(k) <- new_state;
+              List.iter push succs.(k)
             end
-          done)
-        objs
+          done;
+          Array.iter (fun i -> blk_rel.(sc.block_of.(i)) <- []) rel)
+        objs;
+      List.iter (fun o -> sc.by_obj.(o) <- []) !touched
       end);
-  t.cur_owner <- -1
+  t.cur_owner <- -1;
+  Obs.Metrics.(add (counter "svfg.oblivious_pairs") !pairs);
+  Obs.Metrics.(add (counter "svfg.oblivious_relevant") !relevant);
+  Obs.Metrics.(add (counter "svfg.oblivious_visits") !visits)
 
 (* ------------------------------------------------------------------------ *)
 (* Thread-aware edges: [THREAD-VF] with the lock filter.
@@ -735,7 +938,10 @@ let build_thread_aware t config ~jobs ast tm mhp lk pcg =
   build_obl_index t;
   discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter:(fun _ -> true)
 
-let build ?(config = default_config) ?(jobs = 1) ?prov prog ast mr icfg tm mhp lk pcg =
+let build ?(config = default_config) ?(jobs = 1) ?prov
+    ?(oblivious = fun t ast mr ji -> build_oblivious t ast mr ji) prog ast mr icfg tm mhp lk pcg
+    =
+  ignore icfg;
   let t =
     {
       prog;
@@ -760,7 +966,7 @@ let build ?(config = default_config) ?(jobs = 1) ?prov prog ast mr icfg tm mhp l
   (* mu/chi annotation material (what each join makes visible) *)
   let join_info = Obs.Span.with_ ~name:"svfg.join_info" (fun () -> join_info_tbl tm mr) in
   (* thread-oblivious def-use edge derivation (memory-SSA reaching defs) *)
-  Obs.Span.with_ ~name:"svfg.oblivious" (fun () -> build_oblivious t ast mr icfg join_info);
+  Obs.Span.with_ ~name:"svfg.oblivious" (fun () -> oblivious t ast mr join_info);
   (* [THREAD-VF] edges, filtered by the lock analysis *)
   if config.thread_aware then
     Obs.Span.with_ ~name:"svfg.thread_aware" (fun () ->
@@ -898,6 +1104,7 @@ let clone t =
 
 let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~tm
     ~mhp ~lk ~pcg ~edited_fids () =
+  ignore icfg;
   let old_prog = old.prog in
   let shape_ok =
     Prog.n_funcs prog = Prog.n_funcs old_prog
@@ -1064,7 +1271,7 @@ let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr
     prune removed;
     let n_removed = Hashtbl.length removed in
     t.log_adds <- true;
-    build_oblivious ~only:(fun fid -> dirty.(fid)) t ast mr icfg new_ji;
+    build_oblivious ~only:(fun fid -> dirty.(fid)) t ast mr new_ji;
     t.log_adds <- false;
     let n_added = List.length t.add_log in
     List.iter

@@ -10,8 +10,32 @@ open Fsam_ir
     yields the fork-bypass edges of Step 2); handled join sites carry chi
     nodes fed by the spawnee's formal-out defs (the join edges of Step 3);
     per-object def-use chains are then derived with a sparse per-object
-    reaching-definitions pass over each relevant function (in the spirit of
-    the sparse evaluation graphs the paper traces this idea to).
+    reaching-definitions pass (in the spirit of the sparse evaluation graphs
+    the paper traces this idea to). Once per function a {e relevance index}
+    lists, per object of the function's mod ∪ ref, the statements whose
+    transfer can act on it: loads and stores whose pointer may target it,
+    calls and forks whose callees mod or ref it or whose handle may point to
+    it, returns when the function mods it, and — for every object — the
+    entry and each gid carrying join rows. Every other statement is the
+    identity, so per object the dataflow runs over a {e reduced CFG} whose
+    nodes are the relevant statements and whose edges are forward walks
+    through identity statements; its state is sized by the relevant
+    statements, not by the function. The transfer function is the
+    full-CFG one, so the fixpoint — every edge, kind and owner — is what a
+    dense pass over every statement computes (the test suite keeps that
+    dense pass as a differential reference). Reduced nodes are visited
+    lowest CFG BFS rank first, so nodes are interned — numbered — in the
+    order a FIFO pass over the full CFG first reaches them. Adjacency
+    lists usually come out in the dense pass's order too (the tests check
+    the paper suite and synth quick; every bench-gated propagation count
+    is unchanged), but a def may reach two uses in the other order, which
+    reorders a list without changing its contents.
+
+    Provenance kinds of thread-oblivious edges do not depend on the visit
+    order: an edge whose def reaches the use through the ordinary channel
+    is {!k_oblivious} even when the def also bypasses a fork on another
+    path; {!k_fork_bypass} marks defs that reach only through a fork's
+    bypass channel.
 
     {b Thread-aware edges} (paper §3.3, rule [THREAD-VF]) connect MHP
     store-load and store-store statement pairs with a common pre-analysis
@@ -44,10 +68,15 @@ val default_config : config
 
 type t
 
+(** Per gid, the [(fork gid, start fn, start-fn mods)] rows of the threads a
+    handled join (or symmetric-loop exit) at that gid makes visible. *)
+type join_info = (int, (int * int * Fsam_dsa.Iset.t) list) Hashtbl.t
+
 val build :
   ?config:config ->
   ?jobs:int ->
   ?prov:Fsam_prov.t ->
+  ?oblivious:(t -> Fsam_andersen.Solver.t -> Fsam_andersen.Modref.t -> join_info -> unit) ->
   Prog.t ->
   Fsam_andersen.Solver.t ->
   Fsam_andersen.Modref.t ->
@@ -151,4 +180,30 @@ val k_thread_vf : int  (** paper §3.3 rule [THREAD-VF] *)
     passed to [build]. *)
 val edge_kind : t -> src:int -> obj:int -> dst:int -> int
 val iter_nodes : t -> (int -> node -> unit) -> unit
+
+(* Reference builders ------------------------------------------------------ *)
+
+(** [build ~oblivious] replaces the thread-oblivious stage with the given
+    builder; the thread-aware stage then runs over whatever it derived.
+    These are the primitives such a builder (the dense differential
+    reference of the test suite) adds nodes and edges with. *)
+
+val intern : t -> node -> int
+(** Node id of [node], adding it if new. *)
+
+val add_edge : ?kind:int -> t -> int -> int -> int -> unit
+(** [add_edge ~kind t src obj dst]. [kind] (default {!k_oblivious}) is
+    recorded only with provenance on. Adding an existing edge changes
+    nothing, except that an oblivious re-derivation turns a fork-bypass
+    kind oblivious. *)
+
+val set_owner : t -> int -> unit
+(** Function credited with the oblivious edges added next ([-1]: none). *)
+
+val recording : t -> bool
+(** Built with a provenance recorder. *)
+
+val edge_owner : t -> src:int -> obj:int -> dst:int -> int option
+(** Function whose oblivious dataflow first derived the edge. *)
+
 val pp_stats : Format.formatter -> t -> unit

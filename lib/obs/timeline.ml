@@ -94,9 +94,14 @@ let emit ~kind ~a ~b =
     | Some r -> record r ~kind ~a ~b
     | None -> ()
 
-(* Collected rings — main domain only, absorbed after joins in lane order. *)
+(* Collected rings — main domain only, absorbed after joins in lane order.
+   Events a ring overwrote are counted into [obs.timeline_dropped], so the
+   loss shows in the metrics registry, not only in the profile document. *)
 let collected_rev : ring list ref = ref []
-let absorb r = collected_rev := r :: !collected_rev
+
+let absorb r =
+  Metrics.add (Metrics.counter "obs.timeline_dropped") (dropped r);
+  collected_rev := r :: !collected_rev
 
 let collected () =
   List.stable_sort

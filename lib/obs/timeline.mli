@@ -85,6 +85,9 @@ val emit : kind:int -> a:int -> b:int -> unit
 (** {1 Collection (main domain)} *)
 
 val absorb : ring -> unit
+(** Collect a ring, adding its {!dropped} count to the
+    [obs.timeline_dropped] counter. *)
+
 val collected : unit -> ring list
 (** Absorbed rings sorted by (region, lane). *)
 

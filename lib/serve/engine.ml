@@ -711,6 +711,37 @@ type payload = {
 
 let magic = "FSAMSNAP2\n"
 
+(* Write [path] by way of a temporary file in the same directory, flushed
+   and fsynced before [Unix.rename] swaps it in (atomic on POSIX within one
+   file system): a write that fails or a process that dies midway leaves
+   whatever [path] held before intact. *)
+let write_atomic path write =
+  let dir = Filename.dirname path in
+  match Filename.temp_file ~temp_dir:dir (Filename.basename path ^ ".") ".tmp" with
+  | exception Sys_error e -> Error e
+  | tmp -> (
+    let remove_tmp () = try Sys.remove tmp with Sys_error _ -> () in
+    match
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          write oc;
+          flush oc;
+          Unix.fsync (Unix.descr_of_out_channel oc));
+      Unix.rename tmp path
+    with
+    | () -> Ok ()
+    | exception (Sys_error e | Failure e) ->
+      remove_tmp ();
+      Error e
+    | exception Unix.Unix_error (err, fn, _) ->
+      remove_tmp ();
+      Error (fn ^ ": " ^ Unix.error_message err)
+    | exception e ->
+      remove_tmp ();
+      raise e)
+
 let snapshot t path =
   match t.gen with
   | None -> Error "no program loaded"
@@ -736,15 +767,9 @@ let snapshot t path =
         sp_digest = Svfg.digest svfg;
       }
     in
-    try
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc magic;
-          Marshal.to_channel oc payload []);
-      Ok ()
-    with Sys_error e -> Error e)
+    write_atomic path (fun oc ->
+        output_string oc magic;
+        Marshal.to_channel oc payload []))
 
 exception Bad_snapshot of string
 

@@ -135,7 +135,15 @@ val snapshot : t -> string -> (unit, string) result
 (** Serialize the resident generation (source, AST, points-to facts as
     portable element lists — [Iset] hash-consing does not survive
     marshalling; memory facts keyed by SVFG node structure, not
-    intern-order index) to the given path. *)
+    intern-order index) to the given path. The write is crash-safe: see
+    {!write_atomic}. *)
+
+val write_atomic : string -> (out_channel -> unit) -> (unit, string) result
+(** [write_atomic path write] runs [write] on a temporary file in [path]'s
+    directory, flushes and fsyncs it, then renames it over [path]. If
+    [write] raises or any step fails, the temporary file is removed and
+    [path] keeps its previous contents; I/O failures are [Error], other
+    exceptions are re-raised. *)
 
 val restore : t -> string -> (load_info, string) result
 (** Load a snapshot: re-lower (deterministic, so ids match), re-run the

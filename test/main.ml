@@ -12,6 +12,7 @@ let () =
       ("frontend", Test_frontend.suite);
       ("workloads", Test_workloads.suite);
       ("svfg", Test_svfg.suite);
+      ("svfg-sparse", Test_svfg_sparse.suite);
       ("clients", Test_clients.suite);
       ("misc", Test_misc.suite);
       ("minic-files", Test_minic_files.suite);

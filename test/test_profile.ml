@@ -60,6 +60,22 @@ let test_ring_wraparound () =
       Alcotest.(check int) "no drop" 0 (Tl.dropped r2);
       Alcotest.(check int) "one event" 1 (Tl.n_events r2))
 
+(* Ring loss reaches the metrics registry: a ring too small for its events
+   counts the overwritten ones into obs.timeline_dropped on absorption. *)
+let test_ring_drops_counted () =
+  with_profiling (fun () ->
+      Obs.Metrics.reset ();
+      let dropped () = Obs.Metrics.find_counter "obs.timeline_dropped" in
+      Tl.with_ring ~cap:4 ~region:"tiny" ~lane:0 (fun () ->
+          for i = 0 to 9 do
+            Tl.emit ~kind:Tl.k_item ~a:i ~b:0
+          done);
+      Alcotest.(check (option int)) "tiny ring drops" (Some 6) (dropped ());
+      Tl.with_ring ~cap:64 ~region:"roomy" ~lane:0 (fun () ->
+          Tl.emit ~kind:Tl.k_item ~a:0 ~b:0);
+      Alcotest.(check (option int)) "a ring with room adds nothing" (Some 6) (dropped ());
+      Obs.Metrics.reset ())
+
 (* -- cross-domain merge ordering ------------------------------------------- *)
 
 let test_par_merge_ordering () =
@@ -301,6 +317,7 @@ let qcheck_profile_doc_roundtrip =
 let suite =
   [
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
+    Alcotest.test_case "ring drops counted" `Quick test_ring_drops_counted;
     Alcotest.test_case "par merge ordering" `Quick test_par_merge_ordering;
     Alcotest.test_case "profile deterministic at jobs=1" `Quick
       test_profile_deterministic_j1;

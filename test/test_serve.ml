@@ -276,6 +276,44 @@ let test_snapshot_roundtrip () =
             (Engine.source eng) (Engine.source eng2))
   done
 
+(* A snapshot write that dies midway must leave the previous snapshot in
+   place and restorable, with no temporary file left behind. *)
+let test_snapshot_write_is_atomic () =
+  let source = Fsam_workloads.Rand_minic.generate ~seed:3 ~size:50 in
+  let eng = Engine.create () in
+  (match Engine.load eng source with Error e -> Alcotest.failf "load failed: %s" e | Ok _ -> ());
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fsam_test_atomic" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "gen.snap" in
+  let clean () = Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir) in
+  clean ();
+  Fun.protect
+    ~finally:(fun () ->
+      clean ();
+      Sys.rmdir dir)
+    (fun () ->
+      (match Engine.snapshot eng path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "snapshot failed: %s" e);
+      let before = In_channel.with_open_bin path In_channel.input_all in
+      (match
+         Engine.write_atomic path (fun oc ->
+             output_string oc (String.sub before 0 (String.length before / 2));
+             failwith "disk full")
+       with
+      | Ok () -> Alcotest.fail "a failing write reported success"
+      | Error e -> Alcotest.(check string) "the failure is reported" "disk full" e);
+      Alcotest.(check (list string)) "no temporary file left" [ "gen.snap" ]
+        (Array.to_list (Sys.readdir dir));
+      Alcotest.(check bool) "previous snapshot untouched" true
+        (before = In_channel.with_open_bin path In_channel.input_all);
+      let eng2 = Engine.create () in
+      match Engine.restore eng2 path with
+      | Error e -> Alcotest.failf "previous snapshot no longer restores: %s" e
+      | Ok _ ->
+        Alcotest.(check bool) "restored state identical" true
+          (same_driver_results (Engine.driver eng) (Engine.driver eng2)))
+
 let test_snapshot_rejects_garbage () =
   let path = Filename.temp_file "fsam_test" ".snap" in
   Fun.protect
@@ -445,6 +483,7 @@ let suite =
     Alcotest.test_case "edit-sequence-jobs" `Quick test_edit_sequence_jobs;
     Alcotest.test_case "snapshot-roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot-rejects-garbage" `Quick test_snapshot_rejects_garbage;
+    Alcotest.test_case "snapshot-write-atomic" `Quick test_snapshot_write_is_atomic;
     Alcotest.test_case "protocol-basics" `Quick test_protocol_basics;
     Alcotest.test_case "protocol-edit" `Quick test_protocol_edit_and_ids;
     Alcotest.test_case "telemetry-arming" `Quick test_telemetry_arming;
